@@ -27,8 +27,16 @@ The report schema::
       "metrics_us": {<name>: best-of-N microseconds, ...},
       "seed_baseline_us": {<name>: seed microseconds, ...},
       "speedup": {<name>: seed / current, ...},
-      "baseline_speedup_vs_reference": {<arch>: reference / fast, ...}
+      "baseline_speedup_vs_reference": {<arch>: reference / fast, ...},
+      "kernel_available": bool,
+      "kernel_speedup": {"way_memo_dcache" | "way_memo_icache":
+                         python loop / compiled kernel},
+      ...
     }
+
+``kernel_speedup`` times the compiled way-memo kernel against the
+Python loop it replaces, in the same run, on one full benchmark
+stream per cache side.
 
 ``baseline_speedup_vs_reference`` measures each ported comparison
 baseline's fast ``process`` against its retained object-API
@@ -312,6 +320,52 @@ def measure_replay(quick: bool) -> dict:
     return out
 
 
+#: The benchmark whose streams time the compiled way-memo kernel (the
+#: largest of the seven, so per-call marshalling does not dominate).
+KERNEL_WORKLOAD = "mpeg2enc"
+
+
+def measure_kernel(quick: bool) -> dict:
+    """Compiled way-memo kernel vs the Python loop, same run.
+
+    Both legs replay one full benchmark stream per side from the same
+    pre-split columns (array and list forms built beforehand), each on
+    a fresh controller: the kernel leg through ``process_columns``
+    (state marshalling included), the Python leg through the loop that
+    ``process_columns`` falls back to.  The streams stay full-size
+    under ``--quick``: the recorded metric is a ratio.  Returns
+    ``{"available": False}`` when the kernel cannot be built here.
+    """
+    from repro.core import kernel
+    from repro.replay.columns import columns_for_stream
+    from repro.workloads import load_workload
+
+    if kernel.load() is None:
+        return {"available": False, "speedup": {}, "us": {}}
+    repeats = 3 if quick else 7
+    workload = load_workload(KERNEL_WORKLOAD)
+    out = {"available": True, "workload": KERNEL_WORKLOAD,
+           "speedup": {}, "us": {}}
+    for name, factory, stream in (
+        ("way_memo_dcache", WayMemoDCache, workload.trace.data),
+        ("way_memo_icache", WayMemoICache, workload.fetch),
+    ):
+        cols = columns_for_stream(stream)
+        factory().process_columns(cols)
+        factory()._process_python(cols)
+        kernel_us = best_of(
+            lambda: factory().process_columns(cols), repeats
+        )
+        python_us = best_of(
+            lambda: factory()._process_python(cols), repeats
+        )
+        out["us"][name] = {
+            "kernel": round(kernel_us, 1), "python": round(python_us, 1),
+        }
+        out["speedup"][name] = round(python_us / kernel_us, 2)
+    return out
+
+
 def check_equivalence() -> None:
     """Assert fast engines reproduce the reference engines exactly."""
     trace = synthetic_data_trace(
@@ -382,6 +436,7 @@ def append_history(report: dict, path: Path) -> None:
         },
         "replay_stateful_speedup":
             report["replay"]["stateful_speedup"],
+        "kernel_speedup": report["kernel_speedup"],
     }
     try:
         with path.open("a") as handle:
@@ -411,6 +466,7 @@ def main(argv=None) -> int:
     metrics = measure(args.quick)
     baselines = measure_baselines(args.quick)
     replay = measure_replay(args.quick)
+    kernel = measure_kernel(args.quick)
 
     report = {
         "schema": 2,
@@ -431,6 +487,9 @@ def main(argv=None) -> int:
             k: v["speedup"] for k, v in baselines.items()
         },
         "replay": replay,
+        "kernel_available": kernel["available"],
+        "kernel_speedup": kernel["speedup"],
+        "kernel_us": kernel["us"],
     }
 
     out = Path(args.output) if args.output else (
@@ -465,6 +524,14 @@ def main(argv=None) -> int:
             f"({entry['speedup']}x vs per-spec "
             f"{entry['per_spec_us']:,.1f} us)"
         )
+    if kernel["available"]:
+        print(f"way-memo C kernel vs Python loop ({KERNEL_WORKLOAD}):")
+        for name, speedup in sorted(kernel["speedup"].items()):
+            us = kernel["us"][name]
+            print(f"  {name:28s} {us['kernel']:12,.1f} us  "
+                  f"({speedup}x vs Python {us['python']:,.1f} us)")
+    else:
+        print("way-memo C kernel unavailable: no kernel_speedup")
     print("stateful replay derivations vs reference:")
     for name, speedup in sorted(replay["stateful_speedup"].items()):
         us = replay["stateful_us"][name]

@@ -12,6 +12,8 @@
   count tag/way accesses (Figures 4 and 6).
 * :mod:`repro.core.line_buffer_memo` — the conclusion's future-work
   combination of way memoization with a line buffer.
+* :mod:`repro.core.kernel` — the controllers' per-access loop as a
+  small C kernel, compiled on first use and loaded with ``ctypes``.
 """
 
 from repro.core.address import (

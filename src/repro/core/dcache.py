@@ -16,11 +16,13 @@ Every MAB hit is verified against the actual cache content; a mismatch
 is a *stale hit* and is counted (``AccessCounters.stale_hits``).  The
 paper's consistency argument predicts zero.
 
-:meth:`WayMemoDCache.process` is the fast engine: it inlines the
-flat-state MAB and cache kernels into one loop, verifies a MAB hit
-and performs the LRU touch in a *single* tag comparison instead of
-the historical ``probe()`` + ``access()`` double scan, and
-accumulates counters in local ints.
+:meth:`WayMemoDCache.process` is the fast engine: one loop over the
+pre-split columns that verifies a MAB hit and performs the LRU touch
+in a *single* tag comparison instead of the historical ``probe()`` +
+``access()`` double scan.  The loop runs in the compiled kernel of
+:mod:`repro.core.kernel` where that applies, else in Python
+(:meth:`WayMemoDCache._process_python`, the same loop with the
+flat-state MAB and cache kernels inlined).
 :meth:`WayMemoDCache.process_reference` keeps the original
 object-API implementation verbatim as the executable specification;
 ``tests/test_fastpath_differential.py`` asserts the two agree
@@ -29,11 +31,14 @@ counter-for-counter and state-for-state on every workload.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
+from repro.core import kernel
 from repro.core.mab import MAB, MABConfig
 from repro.replay.columns import DataColumns, columns_for_stream
 from repro.sim.trace import DataTrace
@@ -80,6 +85,37 @@ class WayMemoDCache:
     def process_columns(self, cols: DataColumns) -> AccessCounters:
         """Replay a pre-split columnar trace (fast engine).
 
+        Runs the compiled kernel (:mod:`repro.core.kernel`) when it is
+        available and models this controller's configuration, else the
+        equivalent Python loop (:meth:`_process_python`).
+        """
+        got = kernel.run(
+            "dcache", self.cache, self.mab, cols, self.write_buffer
+        )
+        kernel.record_engine("python" if got is None else "c")
+        if got is None:
+            got = self._process_python(cols)
+        n = cols.n
+        num_stores = cols.num_stores
+        counters = AccessCounters()
+        counters.accesses = n
+        counters.loads = n - num_stores
+        counters.stores = num_stores
+        counters.mab_lookups = n
+        counters.mab_hits = got["mab_hits"]
+        counters.mab_bypasses = got["bypasses"]
+        counters.stale_hits = got["stale"]
+        counters.cache_hits = got["hits"]
+        counters.cache_misses = got["misses"]
+        counters.tag_accesses = got["tag_accesses"]
+        counters.way_accesses = got["way_accesses"]
+        counters.notes["mab_label"] = self.mab_config.label
+        counters.notes["write_buffer_coalesced"] = self.write_buffer.coalesced
+        return counters
+
+    def _process_python(self, cols: DataColumns) -> Dict[str, int]:
+        """The way-memo loop in Python; returns the counter deltas.
+
         The MAB lookup/install rules and the cache scan are inlined
         into one flat loop over local bindings of the shared state
         (the MAB and cache objects stay authoritative: the loop
@@ -92,7 +128,6 @@ class WayMemoDCache:
         ``process_reference`` is the readable specification this loop
         is differentially tested against.
         """
-        counters = AccessCounters()
         cache = self.cache
         mab = self.mab
 
@@ -297,9 +332,8 @@ class WayMemoDCache:
                 stamp += 2
 
         # -- sync shared counters back ----------------------------------
-        n = len(keys_l)
         mab._stamp = stamp
-        mab.lookups += n
+        mab.lookups += len(keys_l)
         # A stale hit still matched in the MAB (the reference
         # lookup path counts it), it just failed cache verification.
         mab.hits += mab_hits + stale_hits
@@ -308,22 +342,11 @@ class WayMemoDCache:
         cache.misses += c_misses
         cache.evictions += c_evictions
         cache.writebacks += c_writebacks
-
-        num_stores = cols.num_stores
-        counters.accesses = n
-        counters.loads = n - num_stores
-        counters.stores = num_stores
-        counters.mab_lookups = n
-        counters.mab_hits = mab_hits
-        counters.mab_bypasses = mab_bypasses
-        counters.stale_hits = stale_hits
-        counters.cache_hits = c_hits
-        counters.cache_misses = c_misses
-        counters.tag_accesses = tag_accesses
-        counters.way_accesses = way_accesses
-        counters.notes["mab_label"] = self.mab_config.label
-        counters.notes["write_buffer_coalesced"] = self.write_buffer.coalesced
-        return counters
+        return {
+            "hits": c_hits, "misses": c_misses, "mab_hits": mab_hits,
+            "bypasses": mab_bypasses, "stale": stale_hits,
+            "tag_accesses": tag_accesses, "way_accesses": way_accesses,
+        }
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)

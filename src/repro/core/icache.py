@@ -17,8 +17,9 @@ The controller tracks the line address of the previous access to
 classify intra- vs inter-line flow, mirroring the hardware's
 "same-line" detector.
 
-:meth:`WayMemoICache.process` is the fast engine (flat kernels, single
-tag scan on MAB hits, vectorized address splitting, local counters);
+:meth:`WayMemoICache.process` is the fast engine (single tag scan on
+MAB hits, vectorized address splitting; the loop runs in the compiled
+kernel of :mod:`repro.core.kernel` where that applies, else in Python);
 :meth:`WayMemoICache.process_reference` keeps the original object-API
 implementation as the executable specification for the differential
 tests.
@@ -26,10 +27,13 @@ tests.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
+from repro.core import kernel
 from repro.core.mab import MAB, MABConfig
 from repro.replay.columns import FetchColumns, columns_for_stream
 from repro.sim.fetch import FetchKind, FetchStream
@@ -73,7 +77,32 @@ class WayMemoICache:
     def process_columns(self, cols: FetchColumns) -> AccessCounters:
         """Replay a pre-split columnar fetch stream (fast engine).
 
-        Same construction as :meth:`WayMemoDCache.process_columns`:
+        Runs the compiled kernel (:mod:`repro.core.kernel`) when it is
+        available and models this controller's configuration, else the
+        equivalent Python loop (:meth:`_process_python`).
+        """
+        got = kernel.run("icache", self.cache, self.mab, cols)
+        kernel.record_engine("python" if got is None else "c")
+        if got is None:
+            got = self._process_python(cols)
+        counters = AccessCounters()
+        counters.accesses = cols.n
+        counters.intra_line_hits = got["intra_line_hits"]
+        counters.mab_lookups = got["mab_lookups"]
+        counters.mab_hits = got["mab_hits"]
+        counters.mab_bypasses = got["bypasses"]
+        counters.stale_hits = got["stale"]
+        counters.cache_hits = got["hits"]
+        counters.cache_misses = got["misses"]
+        counters.tag_accesses = got["tag_accesses"]
+        counters.way_accesses = got["way_accesses"]
+        counters.notes["mab_label"] = self.mab_config.label
+        return counters
+
+    def _process_python(self, cols: FetchColumns) -> Dict[str, int]:
+        """The way-memo loop in Python; returns the counter deltas.
+
+        Same construction as :meth:`WayMemoDCache._process_python`:
         the MAB rules and the cache scan are inlined into one flat
         loop over local bindings of the shared state, fed by the
         pre-split (and cross-architecture shareable) columns from
@@ -81,7 +110,6 @@ class WayMemoICache:
         readable specification this loop is differentially tested
         against.
         """
-        counters = AccessCounters()
         cache = self.cache
         mab = self.mab
 
@@ -337,18 +365,13 @@ class WayMemoICache:
         cache.evictions += c_evictions
         cache.writebacks += c_writebacks
 
-        counters.accesses = len(kinds)
-        counters.intra_line_hits = intra_line_hits
-        counters.mab_lookups = mab_lookups
-        counters.mab_hits = mab_hits
-        counters.mab_bypasses = mab_bypasses
-        counters.stale_hits = stale_hits
-        counters.cache_hits = c_hits
-        counters.cache_misses = c_misses
-        counters.tag_accesses = tag_accesses
-        counters.way_accesses = way_accesses
-        counters.notes["mab_label"] = self.mab_config.label
-        return counters
+        return {
+            "hits": c_hits, "misses": c_misses,
+            "intra_line_hits": intra_line_hits, "mab_lookups": mab_lookups,
+            "mab_hits": mab_hits, "bypasses": mab_bypasses,
+            "stale": stale_hits, "tag_accesses": tag_accesses,
+            "way_accesses": way_accesses,
+        }
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)

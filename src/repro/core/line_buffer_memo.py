@@ -13,6 +13,11 @@ This module implements that combination for the D-cache:
 The buffer is kept coherent with the cache via the eviction listener,
 and dirty data is assumed written through to the cache arrays when a
 line leaves the buffer (energy for that is charged as a way access).
+
+:meth:`LineBufferWayMemoDCache.process` runs the compiled kernel of
+:mod:`repro.core.kernel`; :meth:`process_reference` is the object-API
+specification it is tested against and the fallback where the kernel
+does not apply.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.line_buffer import LineBuffer
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
+from repro.core import kernel
 from repro.core.mab import MAB, MABConfig
+from repro.replay.columns import DataColumns, columns_for_stream
 from repro.sim.trace import DataTrace
 
 
@@ -59,8 +66,49 @@ class LineBufferWayMemoDCache:
     # ------------------------------------------------------------------
 
     def process(self, trace: DataTrace) -> AccessCounters:
+        """Replay ``trace`` and return the access counters (fast engine)."""
+        return self.process_columns(columns_for_stream(trace))
+
+    def process_columns(self, cols: DataColumns) -> AccessCounters:
+        """Replay a pre-split columnar trace (fast engine).
+
+        Runs the compiled kernel (:mod:`repro.core.kernel`); where it
+        is unavailable or does not model this configuration, runs
+        :meth:`process_reference` on the underlying trace instead.
+        """
+        got = kernel.run(
+            "dcache", self.cache, self.mab, cols,
+            line_buffer=self.line_buffer,
+            line_buffer_listener=self._on_cache_evict,
+        )
+        kernel.record_engine("python" if got is None else "c")
+        if got is None:
+            return self.process_reference(cols.trace)
+        n = cols.n
         counters = AccessCounters()
-        cfg = self.cache_config
+        counters.accesses = n
+        counters.stores = cols.num_stores
+        counters.loads = n - counters.stores
+        counters.aux_accesses = n  # the buffer is probed every access
+        counters.mab_lookups = got["mab_lookups"]
+        counters.mab_hits = got["mab_hits"]
+        counters.mab_bypasses = got["bypasses"]
+        counters.stale_hits = got["stale"]
+        counters.cache_hits = got["hits"]
+        counters.cache_misses = got["misses"]
+        counters.tag_accesses = got["tag_accesses"]
+        counters.way_accesses = got["way_accesses"]
+        counters.notes["mab_label"] = self.mab_config.label
+        counters.notes["line_buffer_hit_rate"] = self.line_buffer.hit_rate
+        return counters
+
+    # ------------------------------------------------------------------
+    # reference implementation (executable specification)
+    # ------------------------------------------------------------------
+
+    def process_reference(self, trace: DataTrace) -> AccessCounters:
+        """Replay via the object-API path (spec for the diff tests)."""
+        counters = AccessCounters()
         cache = self.cache
         mab = self.mab
         lbuf = self.line_buffer

@@ -20,7 +20,6 @@ from typing import List
 import numpy as np
 
 from repro.api import RunSpec
-from repro.core.address import SignClass, displacement_sign_class
 from repro.experiments.registry import Experiment, ResultMap, register
 from repro.experiments.reporting import ExperimentResult
 from repro.workloads import BENCHMARK_NAMES, load_workload
@@ -33,11 +32,11 @@ def bypass_rate(disps: np.ndarray, width: int) -> float:
     total = len(disps)
     if total == 0:
         return 0.0
-    bad = sum(
-        1 for d in disps.tolist()
-        if displacement_sign_class(int(d), width) is SignClass.OTHER
-    )
-    return bad / total
+    # The sign class of core.address.displacement_sign_class, over the
+    # whole array: OTHER when the upper bits are neither 0 nor all-ones.
+    upper = (disps.astype(np.int64) & 0xFFFFFFFF) >> width
+    bad = (upper != 0) & (upper != (1 << (32 - width)) - 1)
+    return int(np.count_nonzero(bad)) / total
 
 
 def specs() -> List[RunSpec]:

@@ -332,6 +332,8 @@ class DataColumns(_ColumnsBase):
 
     def __init__(self, trace: DataTrace, disk_stem: Optional[Path] = None):
         super().__init__(disk_stem)
+        #: The source trace (for controllers whose fallback replays it).
+        self.trace = trace
         self.n = len(trace.base)
         self.base64 = trace.base.astype(np.int64)
         self.disp64 = trace.disp.astype(np.int64)

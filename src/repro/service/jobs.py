@@ -133,8 +133,11 @@ class JobQueue:
         #: Signaled whenever work may have become available; workers
         #: wait on it instead of busy-polling an idle queue.
         self.work_available = threading.Event()
-        #: Signaled whenever a task finishes (``wait_job`` wakes up).
+        #: Signaled whenever a task finishes (``wait_job`` wakes up);
+        #: ``_done_generation`` counts those signals so a waiter can
+        #: tell whether one fired since it last read a job's status.
         self._task_done = threading.Condition()
+        self._done_generation = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._connect().close()   # create the schema / verify the file
 
@@ -381,6 +384,7 @@ class JobQueue:
         finally:
             conn.close()
         with self._task_done:
+            self._done_generation += 1
             self._task_done.notify_all()
         if state == PENDING:
             self.work_available.set()
@@ -524,6 +528,11 @@ class JobQueue:
         """
         deadline = None if timeout is None else time.time() + timeout
         while True:
+            # Read the generation before the status: a completion
+            # between the two then shows as a changed generation below
+            # instead of a lost wakeup.
+            with self._task_done:
+                generation = self._done_generation
             status = self.job_status(job_id)
             if status is None or status["state"] in (DONE, FAILED):
                 return status
@@ -533,7 +542,8 @@ class JobQueue:
                 if remaining <= 0:
                     return status
             with self._task_done:
-                self._task_done.wait(remaining)
+                if self._done_generation == generation:
+                    self._task_done.wait(remaining)
 
     def list_jobs(self, limit: int = 50) -> List[Dict[str, Any]]:
         """Newest-first job summaries (progress, no result payloads)."""

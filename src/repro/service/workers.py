@@ -32,6 +32,7 @@ import time
 from typing import Optional
 
 from repro.api.parallel import resolve_worker_count, warm_trace_cache
+from repro.core import kernel
 from repro.api.spec import RunSpec
 from repro.telemetry import metrics as telemetry
 from repro.testing import faults
@@ -172,11 +173,14 @@ class WorkerPool:
             if self._draining.is_set():
                 return
             limit = self.group_limit if replay_enabled() else 1
+            # Clear before claiming: a submit landing after an empty
+            # claim then finds the event set instead of being waited
+            # out for a whole poll interval.
+            self.queue.work_available.clear()
             tasks = self.queue.claim_group(self.lease_seconds, limit)
             if not tasks:
                 if self._draining.is_set():
                     return
-                self.queue.work_available.clear()
                 self.queue.work_available.wait(self.poll_interval)
                 continue
             try:
@@ -198,6 +202,9 @@ class WorkerPool:
         ))
         if workloads:
             warm_trace_cache(workloads)
+        # Likewise open the way-memo kernel here once: every forked
+        # child inherits it instead of opening it again.
+        kernel.load()
         receiver, sender = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_subprocess_entry,

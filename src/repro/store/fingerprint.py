@@ -28,7 +28,11 @@ FINGERPRINT_LENGTH = 16
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
     """Digest of the ``repro`` package sources (stable per code state)."""
-    root = Path(repro.__file__).resolve().parent
+    return tree_fingerprint(Path(repro.__file__).resolve().parent)
+
+
+def tree_fingerprint(root: Path) -> str:
+    """Digest of every ``.py`` file under ``root`` (paths + contents)."""
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode())

@@ -162,6 +162,11 @@ def span(name: str, **attributes: Any) -> Iterator[Any]:
         _emit(live.finish())
 
 
+def current_span() -> Any:
+    """The innermost live span on this thread (a null span if none)."""
+    return getattr(_STATE, "current", None) or _NULL_SPAN
+
+
 @contextmanager
 def capture_spans() -> Iterator[List[Dict[str, Any]]]:
     """Collect completed spans in-process (tests, determinism leg)."""

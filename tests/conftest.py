@@ -32,3 +32,23 @@ def workload(request):
 def dct_workload():
     """The DCT workload (cheap, reused by many architecture tests)."""
     return load_workload("dct")
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Loop a way-memo test over its engines: ``for e in engines():``.
+
+    Yields "kernel" (where the compiled kernel builds on this machine),
+    then "python" with the kernel hidden (``kernel.load`` returns None),
+    which is exactly what a machine without a C compiler runs.  Looping
+    inside one test keeps each test's id the same on both engines.
+    """
+    from repro.core import kernel
+
+    def each():
+        if kernel.load() is not None:
+            yield "kernel"
+        monkeypatch.setattr(kernel, "load", lambda: None)
+        yield "python"
+
+    return each

@@ -202,6 +202,23 @@ def test_fuzz_icache_baseline(arch, seed, config):
     )
 
 
+def test_way_memo_fuzz_streams_exercise_stale_hits_and_invalidation():
+    """The way-memo legs must see MAB bypasses, paper-mode stale hits
+    and evict_hook invalidations on both tiny geometries."""
+    from repro.core import WayMemoDCache, WayMemoICache
+
+    for config in (TINY_2WAY, TINY_4WAY):
+        paper = _way_memo_factory(WayMemoDCache, config, "paper")()
+        counters = paper.process(fuzz_memo_data_trace(616))
+        assert counters.stale_hits > 0 and counters.mab_bypasses > 0
+        hooked = _way_memo_factory(WayMemoDCache, config, "evict_hook")()
+        assert hooked.process(fuzz_memo_data_trace(616)).stale_hits == 0
+        assert hooked.mab.invalidations > 0
+        icache = _way_memo_factory(WayMemoICache, config, "evict_hook")()
+        icache.process(fuzz_fetch_stream(717))
+        assert icache.mab.invalidations > 0
+
+
 def test_fuzz_streams_actually_stress_the_cache():
     """The fuzz traffic must exercise misses, evictions and stores."""
     ctrl = OriginalDCache(TINY_2WAY)
@@ -217,15 +234,106 @@ def test_fuzz_streams_actually_stress_the_cache():
     assert ictrl.cache.evictions > 100
 
 
-def test_way_memo_dcache_lockstep_fuzz():
+def test_way_memo_dcache_lockstep_fuzz(engines):
     """The way-memo controller joins the lockstep fuzz too."""
     from repro.core import WayMemoDCache
 
     trace = fuzz_data_trace(515)
-    run_lockstep(
-        WayMemoDCache, trace, slice_data, len(trace), "way-memo",
-        state_check=assert_controller_state_equal,
-    )
+    for engine in engines():
+        run_lockstep(
+            WayMemoDCache, trace, slice_data, len(trace),
+            f"way-memo engine={engine}",
+            state_check=assert_controller_state_equal,
+        )
+
+
+def fuzz_memo_data_trace(
+    seed: int, lines: int = 256, n: int = NUM_ACCESSES
+) -> DataTrace:
+    """Way-memo traffic on a tiny cache: a dozen base registers spread
+    over ``lines`` cache lines with small displacements (so MAB pairs
+    are reused and conflict-evicted), 3% large displacements (MAB
+    bypasses) and 40% stores."""
+    rng = np.random.default_rng(seed)
+    bases = 0x40000 + rng.integers(0, lines, size=12) * 32
+    base = bases[rng.integers(0, 12, size=n)].astype(np.uint32)
+    disp = (rng.integers(-8, 24, size=n) * 4).astype(np.int32)
+    large = rng.random(n) < 0.03
+    disp[large] = rng.choice([1 << 15, -(1 << 16)], size=int(large.sum()))
+    store = rng.random(n) < 0.4
+    return DataTrace(base=base, disp=disp, store=store)
+
+
+def _way_memo_factory(cls, config, consistency, **kwargs):
+    from repro.core import MABConfig
+
+    # Twice as many tag entries as cache ways: more than the paper's
+    # consistency argument allows, so paper mode goes stale and
+    # evict_hook has pairs to invalidate.
+    mab = MABConfig(2 * config.ways, 8, consistency)
+    return lambda: cls(config, mab, **kwargs)
+
+
+@pytest.mark.parametrize("consistency", ["paper", "evict_hook"])
+@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
+                         ids=["2way", "4way"])
+def test_way_memo_dcache_lockstep_fuzz_geometries(
+    config, consistency, engines
+):
+    from repro.core import WayMemoDCache
+
+    trace = fuzz_memo_data_trace(616)
+    for engine in engines():
+        run_lockstep(
+            _way_memo_factory(WayMemoDCache, config, consistency),
+            trace, slice_data, len(trace),
+            f"way-memo ways={config.ways} {consistency} engine={engine}",
+            state_check=assert_controller_state_equal,
+        )
+
+
+@pytest.mark.parametrize("consistency", ["paper", "evict_hook"])
+@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
+                         ids=["2way", "4way"])
+def test_way_memo_icache_lockstep_fuzz(config, consistency, engines):
+    from repro.core import WayMemoICache
+
+    fs = fuzz_fetch_stream(717)
+    for engine in engines():
+        run_lockstep(
+            _way_memo_factory(WayMemoICache, config, consistency),
+            fs, slice_fetch, len(fs),
+            f"way-memo icache ways={config.ways} {consistency} "
+            f"engine={engine}",
+            state_check=assert_controller_state_equal,
+        )
+
+
+# A one-line buffer only ever holds the MRU line, which the cache never
+# evicts; four lines make the buffer's coherence listener fire.
+@pytest.mark.parametrize("entries", [1, 4])
+@pytest.mark.parametrize("consistency", ["paper", "evict_hook"])
+@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
+                         ids=["2way", "4way"])
+def test_line_buffer_way_memo_lockstep_fuzz(
+    config, consistency, entries, engines
+):
+    from repro.core import LineBufferWayMemoDCache
+
+    # Bases over 64 lines: buffered lines get evicted from the cache
+    # while the buffer still serves its other lines.
+    trace = fuzz_memo_data_trace(616, lines=64)
+    for engine in engines():
+        run_lockstep(
+            _way_memo_factory(
+                LineBufferWayMemoDCache, config, consistency,
+                line_buffer_entries=entries,
+            ),
+            trace, slice_data, len(trace),
+            f"way-memo+line-buffer ways={config.ways} {consistency} "
+            f"entries={entries} engine={engine}",
+            state_check=assert_controller_state_equal,
+        )
 
 
 # ----------------------------------------------------------------------

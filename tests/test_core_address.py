@@ -107,3 +107,29 @@ def test_usable_iff_uniform_upper_bits(base, disp, width):
     if ps.usable:
         full = (base + disp) & M32
         assert ps.target_tag(32 - width) == full >> width
+
+
+@pytest.mark.parametrize("width", [8, 10, 12, 14, 16])
+def test_vectorized_bypass_rate_matches_sign_class(width):
+    """ablation_adder_width's array expression counts exactly the
+    displacements displacement_sign_class puts in OTHER."""
+    import numpy as np
+
+    from repro.experiments.ablation_adder_width import bypass_rate
+
+    edges = [0, 1, -1, (1 << 31) - 1, -(1 << 31)]
+    for shift in (width - 1, width, width + 1):
+        edges += [(1 << shift) - 1, 1 << shift, -(1 << shift),
+                  -(1 << shift) - 1]
+    rng = np.random.default_rng(width)
+    disps = np.concatenate((
+        np.array(edges, dtype=np.int64).astype(np.int32),
+        rng.integers(-(1 << 31), 1 << 31, size=500).astype(np.int32),
+        rng.integers(-(1 << 17), 1 << 17, size=500).astype(np.int32),
+    ))
+    expected = sum(
+        displacement_sign_class(int(d), width) is SignClass.OTHER
+        for d in disps.tolist()
+    ) / len(disps)
+    assert bypass_rate(disps, width) == expected
+    assert bypass_rate(disps[:0], width) == 0.0

@@ -6,6 +6,10 @@ implementations:
 
 * :meth:`WayMemoDCache.process` vs. :meth:`process_reference`
 * :meth:`WayMemoICache.process` vs. :meth:`process_reference`
+* :meth:`LineBufferWayMemoDCache.process` vs. :meth:`process_reference`
+
+  (each way-memo leg runs on both engines: the compiled kernel and
+  the Python loop, see the ``engines`` fixture)
 * every comparison baseline's fast ``process`` vs. its retained
   ``process_reference`` (the full seven-architecture matrix)
 * ``CPU.run(engine="fast")`` vs. ``CPU.run(engine="interp")``
@@ -35,7 +39,12 @@ from repro.baselines import (
     WayPredictionDCache,
     WayPredictionICache,
 )
-from repro.core import MABConfig, WayMemoDCache, WayMemoICache
+from repro.core import (
+    LineBufferWayMemoDCache,
+    MABConfig,
+    WayMemoDCache,
+    WayMemoICache,
+)
 from repro.isa import assemble
 from repro.sim import CPU, CPUError, run_program
 from repro.workloads import (
@@ -102,8 +111,24 @@ def assert_baseline_state_equal(fast, ref, context=""):
 
 
 def assert_controller_state_equal(fast, ref, context=""):
-    """Final cache + MAB state must match exactly."""
+    """Final cache + MAB (+ write/line buffer) state must match exactly."""
     assert_cache_state_equal(fast.cache, ref.cache, context)
+    wf = getattr(fast, "write_buffer", None)
+    wr = getattr(ref, "write_buffer", None)
+    if wr is not None:
+        assert (
+            list(wf._pending.items()), wf.inserts, wf.coalesced, wf.drains,
+            wf.max_occupancy,
+        ) == (
+            list(wr._pending.items()), wr.inserts, wr.coalesced, wr.drains,
+            wr.max_occupancy,
+        ), f"{context}: write buffer state differs"
+    lf = getattr(fast, "line_buffer", None)
+    lr = getattr(ref, "line_buffer", None)
+    if lr is not None:
+        assert (lf._lines, lf.hits, lf.misses) == (
+            lr._lines, lr.hits, lr.misses
+        ), f"{context}: line buffer state differs"
     fm, rm = fast.mab, ref.mab
     assert sorted(fm.valid_pairs()) == sorted(rm.valid_pairs()), (
         f"{context}: MAB valid pairs differ"
@@ -112,8 +137,8 @@ def assert_controller_state_equal(fast, ref, context=""):
     assert fm._idx_vals == rm._idx_vals, f"{context}: MAB indices differ"
     assert fm._lru_order(fm._tag_stamp) == rm._lru_order(rm._tag_stamp)
     assert fm._lru_order(fm._idx_stamp) == rm._lru_order(rm._idx_stamp)
-    assert (fm.lookups, fm.hits, fm.bypasses) == (
-        rm.lookups, rm.hits, rm.bypasses
+    assert (fm.lookups, fm.hits, fm.bypasses, fm.invalidations) == (
+        rm.lookups, rm.hits, rm.bypasses, rm.invalidations
     ), f"{context}: MAB stats differ"
     fm.check_invariants()
     rm.check_invariants()
@@ -123,82 +148,80 @@ def assert_controller_state_equal(fast, ref, context=""):
 # controllers: synthetic traffic
 # ----------------------------------------------------------------------
 
+def check_engines(engines, make, stream, context=""):
+    """Fast ``process`` vs ``process_reference`` on each way-memo engine.
+
+    Returns the reference counters (identical on every engine).
+    """
+    for engine in engines():
+        fast, ref = make(), make()
+        cf = fast.process(stream)
+        cr = ref.process_reference(stream)
+        where = f"{context} engine={engine}"
+        assert_counters_equal(cf, cr, where)
+        assert_controller_state_equal(fast, ref, where)
+    return cr
+
+
 @pytest.mark.parametrize("seed,large,stores", [
     (1, 0.0, 0.3),
     (2, 0.05, 0.3),   # bypass traffic exercises the column-clear rule
     (3, 0.0, 1.0),    # all stores
     (4, 0.5, 0.0),    # heavy bypass, all loads
 ])
-def test_dcache_fast_matches_reference_synthetic(seed, large, stores):
+def test_dcache_fast_matches_reference_synthetic(
+    seed, large, stores, engines
+):
     trace = synthetic_data_trace(
         num_accesses=6_000, seed=seed,
         large_disp_fraction=large, store_fraction=stores,
     )
-    fast = WayMemoDCache()
-    ref = WayMemoDCache()
-    cf = fast.process(trace)
-    cr = ref.process_reference(trace)
-    assert_counters_equal(cf, cr, f"dcache seed={seed}")
-    assert_controller_state_equal(fast, ref, f"dcache seed={seed}")
+    check_engines(engines, WayMemoDCache, trace, f"dcache seed={seed}")
 
 
 @pytest.mark.parametrize("consistency", ["paper", "evict_hook"])
-def test_dcache_fast_matches_reference_evict_hook(consistency):
+def test_dcache_fast_matches_reference_evict_hook(consistency, engines):
     trace = synthetic_data_trace(num_accesses=6_000, seed=11)
     config = MABConfig(2, 8, consistency=consistency)
-    fast = WayMemoDCache(mab_config=config)
-    ref = WayMemoDCache(mab_config=config)
-    assert_counters_equal(
-        fast.process(trace), ref.process_reference(trace), consistency
+    check_engines(
+        engines, lambda: WayMemoDCache(mab_config=config), trace,
+        consistency,
     )
-    assert_controller_state_equal(fast, ref, consistency)
 
 
 @pytest.mark.parametrize("policy", ["lru", "fifo", "plru"])
-def test_dcache_fast_matches_reference_policies(policy):
+def test_dcache_fast_matches_reference_policies(policy, engines):
     trace = synthetic_data_trace(num_accesses=4_000, seed=21)
-    fast = WayMemoDCache(policy=policy)
-    ref = WayMemoDCache(policy=policy)
-    assert_counters_equal(
-        fast.process(trace), ref.process_reference(trace), policy
+    check_engines(
+        engines, lambda: WayMemoDCache(policy=policy), trace, policy
     )
-    assert_controller_state_equal(fast, ref, policy)
 
 
-@pytest.mark.parametrize("ns", [4, 16])
-def test_dcache_fast_matches_reference_mab_sizes(ns):
+# 64 is the kernel's widest MAB index side; 65 runs the Python loop.
+@pytest.mark.parametrize("ns", [4, 16, 64, 65])
+def test_dcache_fast_matches_reference_mab_sizes(ns, engines):
     trace = synthetic_data_trace(num_accesses=4_000, seed=31)
-    fast = WayMemoDCache(mab_config=MABConfig(2, ns))
-    ref = WayMemoDCache(mab_config=MABConfig(2, ns))
-    assert_counters_equal(
-        fast.process(trace), ref.process_reference(trace), f"2x{ns}"
+    check_engines(
+        engines, lambda: WayMemoDCache(mab_config=MABConfig(2, ns)),
+        trace, f"2x{ns}",
     )
-    assert_controller_state_equal(fast, ref, f"2x{ns}")
 
 
-def test_icache_fast_matches_reference_synthetic():
+def test_icache_fast_matches_reference_synthetic(engines):
     fs = synthetic_fetch_stream(num_blocks=1_500, seed=13)
-    fast = WayMemoICache()
-    ref = WayMemoICache()
-    assert_counters_equal(fast.process(fs), ref.process_reference(fs))
-    assert_controller_state_equal(fast, ref)
+    check_engines(engines, WayMemoICache, fs)
 
 
-def test_icache_fast_matches_reference_large_offsets():
+def test_icache_fast_matches_reference_large_offsets(engines):
     fs = synthetic_fetch_stream(
         num_blocks=800, seed=17,
         branch_offsets=[-(1 << 15), 1 << 15, 64, -64],
     )
-    fast = WayMemoICache()
-    ref = WayMemoICache()
-    cf = fast.process(fs)
-    cr = ref.process_reference(fs)
+    cr = check_engines(engines, WayMemoICache, fs)
     assert cr.mab_bypasses > 0, "offsets should force bypasses"
-    assert_counters_equal(cf, cr)
-    assert_controller_state_equal(fast, ref)
 
 
-def test_dcache_fast_matches_reference_on_stale_hits():
+def test_dcache_fast_matches_reference_on_stale_hits(engines):
     """Stale MAB hits must account identically in both engines.
 
     With more tag entries than cache ways the paper's consistency
@@ -216,35 +239,35 @@ def test_dcache_fast_matches_reference_on_stale_hits():
         [t << 14 for t in (1, 2, 3, 1)], [0] * 4, [False] * 4
     )
     config = MABConfig(4, 8)
-    fast = WayMemoDCache(mab_config=config)
-    ref = WayMemoDCache(mab_config=config)
-    cf = fast.process(trace)
-    cr = ref.process_reference(trace)
+    cr = check_engines(
+        engines, lambda: WayMemoDCache(mab_config=config), trace, "stale"
+    )
     assert cr.stale_hits == 1, "sequence must actually go stale"
-    assert_counters_equal(cf, cr, "stale")
-    assert_controller_state_equal(fast, ref, "stale")
 
 
 # ----------------------------------------------------------------------
 # controllers: every bundled workload
 # ----------------------------------------------------------------------
 
-def test_dcache_fast_matches_reference_on_workload(workload):
-    fast = WayMemoDCache()
-    ref = WayMemoDCache()
-    cf = fast.process(workload.trace.data)
-    cr = ref.process_reference(workload.trace.data)
-    assert_counters_equal(cf, cr, workload.name)
-    assert_controller_state_equal(fast, ref, workload.name)
+def test_dcache_fast_matches_reference_on_workload(workload, engines):
+    check_engines(
+        engines, WayMemoDCache, workload.trace.data, workload.name
+    )
 
 
-def test_icache_fast_matches_reference_on_workload(workload):
-    fast = WayMemoICache()
-    ref = WayMemoICache()
-    cf = fast.process(workload.fetch)
-    cr = ref.process_reference(workload.fetch)
-    assert_counters_equal(cf, cr, workload.name)
-    assert_controller_state_equal(fast, ref, workload.name)
+def test_icache_fast_matches_reference_on_workload(workload, engines):
+    check_engines(engines, WayMemoICache, workload.fetch, workload.name)
+
+
+@pytest.mark.parametrize("consistency", ["paper", "evict_hook"])
+def test_line_buffer_fast_matches_reference_on_workload(
+    workload, consistency, engines
+):
+    config = MABConfig(2, 8, consistency)
+    check_engines(
+        engines, lambda: LineBufferWayMemoDCache(mab_config=config),
+        workload.trace.data, f"{workload.name} {consistency}",
+    )
 
 
 # ----------------------------------------------------------------------

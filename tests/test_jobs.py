@@ -12,6 +12,7 @@ property is tested in isolation.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -241,6 +242,66 @@ def test_wait_job_sees_completion(queue):
     )
     status = queue.wait_job(job_id, timeout=5)
     assert status["state"] == "done"
+
+
+def test_wait_job_sees_a_completion_between_status_read_and_wait(queue):
+    """A task that finishes after ``wait_job`` read the job's status but
+    before it waits must not be waited out: the completion's notify
+    fires while nobody waits, so only the generation check sees it."""
+    spec = _spec()
+    job_id = queue.submit([spec])
+    task = queue.claim(lease_seconds=30)
+    real_status = queue.job_status
+    completed = []
+
+    def status_then_complete(jid):
+        status = real_status(jid)
+        if not completed:
+            completed.append(True)
+            queue.complete(task, _result_json(spec))   # lands in the gap
+        return status
+
+    waits = []
+
+    class SpyCondition(threading.Condition):
+        def wait(self, timeout=None):
+            waits.append(timeout)
+            return super().wait(timeout)
+
+    queue._task_done = SpyCondition()
+    queue.job_status = status_then_complete
+    status = queue.wait_job(job_id, timeout=30)
+    assert status["state"] == "done"
+    assert waits == [], "wait_job slept through an observed completion"
+
+
+def test_supervisor_sees_a_submit_that_lands_during_an_empty_claim(queue):
+    """A submit that sets ``work_available`` while the supervisor's
+    claim comes back empty must trigger the next claim at once, not
+    after a whole poll interval."""
+    from repro.service.workers import WorkerPool
+
+    pool = WorkerPool(queue, count=1, poll_interval=30.0)
+    claims = []
+    reclaimed = threading.Event()
+
+    def claim_group(lease_seconds, limit):
+        claims.append(limit)
+        if len(claims) == 1:
+            queue.work_available.set()   # a submit right after the read
+        else:
+            pool._stop.set()
+            reclaimed.set()
+        return []
+
+    queue.claim_group = claim_group
+    pool.start()
+    try:
+        assert reclaimed.wait(10), (
+            "supervisor waited out its poll interval after a submit"
+        )
+    finally:
+        pool.stop()
 
 
 def test_list_jobs_is_newest_first_without_payloads(queue):
